@@ -13,7 +13,7 @@ void Link::send(Frame f) {
   // latency later.  Both completion events carry the fault epoch: a
   // set_down() between send and completion bumps it and the stale event
   // no-ops (the fault path already reset tx_busy_ / dropped the frame).
-  sim_.post_after(ser, [this, e = fault_epoch_] {
+  sim_.schedule_after(ser, [this, e = fault_epoch_] {
     if (e != fault_epoch_) return;
     tx_busy_ = false;
     notify_ready();
@@ -32,7 +32,7 @@ void Link::send(Frame f) {
     return;
   }
   inflight_.push_back(std::move(f));
-  sim_.post_after(ser + p_.latency, [this, e = fault_epoch_] {
+  sim_.schedule_after(ser + p_.latency, [this, e = fault_epoch_] {
     if (e != fault_epoch_) return;
     deliver_head();
   });

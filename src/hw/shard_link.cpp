@@ -40,7 +40,7 @@ void ShardLinkBridge::FrameChannel::drain_into(sim::Simulator& dst) {
     // arrives strictly beyond them, i.e. in this shard's future.
     assert(e.first > dst.now() &&
            "cross-shard frame arrived at or before the drain point");
-    dst.post_at(e.first, [link, f = std::move(e.second)]() mutable {
+    dst.schedule_at(e.first, [link, f = std::move(e.second)]() mutable {
       link->deliver_remote(std::move(*f));
     });
   }
@@ -52,7 +52,7 @@ void ShardLinkBridge::CreditChannel::drain_into(sim::Simulator& dst) {
   while (q.pop(at)) {
     assert(at > dst.now() &&
            "cross-shard credit arrived at or before the drain point");
-    dst.post_at(at, [link] { link->remote_credit(); });
+    dst.schedule_at(at, [link] { link->remote_credit(); });
   }
 }
 

@@ -38,8 +38,7 @@ void SnetBus::grant_next() {
       params_.arbitration +
       static_cast<sim::Duration>(req.frame.wire_bytes()) * params_.ns_per_byte;
   xfer_ = std::move(req);
-  // post_after: bus completions are never cancelled, so skip the handle.
-  sim_.post_after(xfer, [this] { finish_transfer(); });
+  sim_.schedule_after(xfer, [this] { finish_transfer(); });
 }
 
 void SnetBus::finish_transfer() {

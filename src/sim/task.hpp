@@ -74,7 +74,7 @@ class DelayAwaiter {
   DelayAwaiter(Simulator& sim, Duration d) : sim_(sim), d_(d) {}
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    sim_.post_after(d_, [h] { h.resume(); });
+    sim_.schedule_after(d_, [h] { h.resume(); });
   }
   void await_resume() const noexcept {}
 
@@ -97,7 +97,7 @@ class DelayAwaiter {
 /// Shared helper for every synchronization primitive: resuming through the
 /// event queue keeps the C++ call stack flat and ordering deterministic.
 inline void resume_later(Simulator& sim, std::coroutine_handle<> h) {
-  sim.post_after(0, [h] { h.resume(); });
+  sim.schedule_after(0, [h] { h.resume(); });
 }
 
 // ---------------------------------------------------------------------------

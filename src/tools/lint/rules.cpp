@@ -252,8 +252,7 @@ const std::set<std::string> kAwaiterMarkers = {
 // one of these outlives the enclosing frame (R8 ref-capture-escape).
 const std::set<std::string> kEscapeSinks = {
     "register_handler", "spawn_process", "schedule_at", "schedule_after",
-    "post_at",          "post_after",    "subscribe",   "set_handler",
-    "defer"};
+    "subscribe",        "set_handler",   "defer"};
 
 // Associative containers for the R7 pointer-key check.
 const std::set<std::string> kAssocContainers = {
@@ -264,8 +263,8 @@ const std::set<std::string> kAssocContainers = {
 // Event/trace sinks for the R7 unordered-iteration check: emitting into one
 // of these from an unordered loop makes the event order address-dependent.
 const std::set<std::string> kOrderSinks = {
-    "post",        "post_at",        "post_after", "schedule_at",
-    "schedule_after", "sample",      "send",       "deliver"};
+    "post",   "schedule_at", "schedule_after", "sample",
+    "send",   "deliver"};
 
 // ---------------------------------------------------------------------------
 // Diagnostic sink

@@ -363,9 +363,9 @@ void WorkloadGen::Impl::schedule() {
     NodeAgent* root = node_agents[static_cast<std::size_t>(d.root)].get();
     sim::Simulator& rsim = root->node->simulator();
     const std::uint64_t sid = d.id;
-    rsim.post_at(d.start,
+    rsim.schedule_at(d.start,
                  [this, root, sid] { start_session(*root, sid); });
-    rsim.post_at(d.start + ttl_eff,
+    rsim.schedule_at(d.start + ttl_eff,
                  [this, root, sid] { watchdog(*root, sid); });
     for (const auto& [m, offset] : d.leaves) {
       NodeAgent* mem = node_agents[static_cast<std::size_t>(m)].get();
@@ -373,7 +373,7 @@ void WorkloadGen::Impl::schedule() {
       // (faults) the leave finds no local session and is a no-op.
       const sim::SimTime leave_at =
           d.start + cfg.alloc_timeout + cfg.invite_timeout + offset;
-      mem->node->simulator().post_at(
+      mem->node->simulator().schedule_at(
           leave_at, [this, mem, sid] { member_leave(*mem, sid); });
     }
   }
@@ -406,7 +406,7 @@ void WorkloadGen::Impl::send_alloc(NodeAgent& ag, RootSession& rs) {
   ag.node->kernel().send(std::move(f));
   const std::uint32_t e = ++rs.epoch;
   // vorx-lint: allow(R8) ag lives in Impl's per-node table for the whole run
-  ag.node->simulator().post_after(cfg.alloc_timeout, [this, &ag, sid, e] {
+  ag.node->simulator().schedule_after(cfg.alloc_timeout, [this, &ag, sid, e] {
     auto it = ag.roots.find(sid);
     if (it == ag.roots.end()) return;
     RootSession& r = it->second;
@@ -461,7 +461,7 @@ void WorkloadGen::Impl::start_invites(NodeAgent& ag, RootSession& rs,
     ++ag.invites_sent;
   }
   const std::uint32_t e = ++rs.epoch;
-  ag.node->simulator().post_after(
+  ag.node->simulator().schedule_after(
       cfg.invite_timeout,
       // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
       [this, &ag, sid, e] { invite_timeout(ag, sid, e); });
@@ -525,7 +525,7 @@ void WorkloadGen::Impl::activate(NodeAgent& ag, RootSession& rs) {
   rs.frames_left = 0;
   const std::uint64_t sid = rs.desc->id;
   const std::uint32_t e = rs.epoch;
-  ag.node->simulator().post_after(
+  ag.node->simulator().schedule_after(
       rs.desc->spurts[0].gap,
       // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
       [this, &ag, sid, e] { spurt_step(ag, sid, e); });
@@ -555,7 +555,7 @@ void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint64_t sid,
   }
   --rs.frames_left;
   if (rs.frames_left > 0) {
-    ag.node->simulator().post_after(
+    ag.node->simulator().schedule_after(
         cfg.frame_interval,
         // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
         [this, &ag, sid, epoch] { spurt_step(ag, sid, epoch); });
@@ -566,7 +566,7 @@ void WorkloadGen::Impl::spurt_step(NodeAgent& ag, std::uint64_t sid,
     finish(ag, sid);
     return;
   }
-  ag.node->simulator().post_after(
+  ag.node->simulator().schedule_after(
       rs.desc->spurts[rs.spurt].gap,
       // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
       [this, &ag, sid, epoch] { spurt_step(ag, sid, epoch); });
@@ -647,7 +647,7 @@ void WorkloadGen::Impl::on_invite(NodeAgent& ag, const hw::Frame& f) {
     // Member-side GC: if the bye is lost to a fault, reclaim the entry
     // once the session cannot possibly still be live.
     // vorx-lint: allow(R8) ag lives in Impl's per-node table for the run
-    ag.node->simulator().post_after(ttl_eff, [this, &ag, sid] {
+    ag.node->simulator().schedule_after(ttl_eff, [this, &ag, sid] {
       if (ag.members.erase(sid) != 0) ++ag.member_gc;
     });
   }
@@ -864,7 +864,7 @@ void FaultInjector::install(const sim::FaultPlan& plan) {
         ++link_faults_;
         for (int s = 0; s < domains; ++s) {
           // vorx-lint: allow(R8) fab is owned by System, outlives the run
-          sim_of(s).post_at(ev.at, [&fab, s, a = ev.a, b = ev.b, up] {
+          sim_of(s).schedule_at(ev.at, [&fab, s, a = ev.a, b = ev.b, up] {
             fab.apply_cube_fault(s, a, b, up);
           });
         }
@@ -874,7 +874,7 @@ void FaultInjector::install(const sim::FaultPlan& plan) {
         const int s = fab.shard_of_cluster(ev.a);
         ++cluster_restarts_;
         // vorx-lint: allow(R8) fab is owned by System, outlives the run
-        sim_of(s).post_at(ev.at, [&fab, s, c = ev.a] {
+        sim_of(s).schedule_at(ev.at, [&fab, s, c = ev.a] {
           fab.apply_cluster_restart(s, c);
         });
         break;
@@ -885,7 +885,7 @@ void FaultInjector::install(const sim::FaultPlan& plan) {
         const bool crash = ev.kind == sim::FaultKind::kHostCrash;
         const int j = ev.a % sys_.num_hosts();
         ++host_faults_;
-        sys_.host(j).simulator().post_at(ev.at, [g = gen_, j, crash] {
+        sys_.host(j).simulator().schedule_at(ev.at, [g = gen_, j, crash] {
           g->impl_->set_host_crashed(j, crash);
         });
         break;

@@ -467,14 +467,14 @@ TEST(LintR8, AwaiterMachineryIsExempt) {
 
 TEST(LintR8, FlagsRefCaptureIntoSchedulingSinks) {
   EXPECT_EQ(1, count_check(lint_one("void f(S& s) { int n = 0; "
-                                    "s.post_after(5, [&n] { ++n; }); }\n"),
+                                    "s.schedule_after(5, [&n] { ++n; }); }\n"),
                            "R8", "ref-capture-escape"));
   EXPECT_EQ(1, count_check(lint_one("void f(K& k) { int n = 0; "
                                     "k.register_handler([&] { use(n); }); }\n"),
                            "R8", "ref-capture-escape"));
   // Value captures and [this] self-registration are the safe idioms.
   EXPECT_TRUE(lint_one("void f(S& s) { int n = 0; "
-                       "s.post_after(5, [n] { use(n); }); }\n")
+                       "s.schedule_after(5, [n] { use(n); }); }\n")
                   .empty());
   EXPECT_TRUE(lint_one("struct T { void go() { "
                        "k_.register_handler([this] { tick(); }); } };\n")

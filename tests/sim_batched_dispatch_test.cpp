@@ -1,8 +1,8 @@
 // Tests for bucket-at-a-time dispatch (DESIGN.md §13): a randomized
 // differential against the event-at-a-time reference order, the directed
-// edges of the batch protocol (cancellation after the drain, mid-bucket
-// run_until deadlines, same-tick inserts racing a live batch), and the
-// receive-path coalescing order contract at the VORX kernel layer.
+// edges of the batch protocol (mid-bucket run_until deadlines, same-tick
+// inserts racing a live batch), and the receive-path coalescing order
+// contract at the VORX kernel layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 namespace hpcvorx {
 namespace {
 
-using sim::EventHandle;
 using sim::EventQueue;
 using sim::SimTime;
 
@@ -35,15 +34,13 @@ constexpr SimTime kL1Span = static_cast<SimTime>(EventQueue::kL1Span);
 // multiset predicts — the same order the old pop()-per-event loop
 // produced.  The insert distribution straddles every structure boundary
 // (level-0 window, level-1 range, true spill, exact bucket starts, past
-// times), inserts land mid-bucket while a batch is live (the
-// earlier_than interleave), and random cancellation hits entries that
-// are already drained into the batch.
+// times), and inserts land mid-bucket while a batch is live (the
+// earlier_than interleave).  One step in ten checks that the pending
+// count — drained-but-unfired batch entries included — is exact.
 TEST(BatchedDispatch, MatchesEventAtATimeReferenceAcrossBoundaries) {
   sim::Simulator sim;
   sim::Rng rng(0xD15BA7C4u);
   std::set<std::pair<SimTime, std::uint64_t>> ref;
-  std::vector<std::pair<EventHandle, std::pair<SimTime, std::uint64_t>>>
-      handles;
   std::uint64_t seq = 0;
   SimTime frontier = 0;
   std::vector<std::pair<SimTime, std::uint64_t>> fired;
@@ -97,38 +94,24 @@ TEST(BatchedDispatch, MatchesEventAtATimeReferenceAcrossBoundaries) {
         at = static_cast<SimTime>(
             rng.below(static_cast<std::uint64_t>(frontier) + 1));
       }
-      // Mirror Simulator::post_at/schedule_at: requested past times
-      // schedule at now().
+      // Mirror Simulator::schedule_at: requested past times schedule at
+      // now().
       at = std::max(at, sim.now());
       const std::uint64_t s = seq++;
-      auto record = [&fired, at, s] { fired.emplace_back(at, s); };
-      if (rng.below(4) == 0) {
-        handles.emplace_back(sim.schedule_at(at, record),
-                             std::make_pair(at, s));
-      } else {
-        sim.post_at(at, record);
-      }
+      sim.schedule_at(at, [&fired, at, s] { fired.emplace_back(at, s); });
       ref.emplace(at, s);
     } else if (roll < 90) {
       step_fires_head();
       if (::testing::Test::HasFatalFailure()) return;
-    } else if (!handles.empty()) {
-      // Cancel a random live handle — it may sit in either wheel level,
-      // the heap, or already inside the drained batch.
-      const std::size_t i = rng.below(handles.size());
-      if (handles[i].first.cancel()) ref.erase(handles[i].second);
-      handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ASSERT_EQ(sim.pending_events(), ref.size()) << "at step " << step;
     }
   }
   while (!ref.empty()) {
     step_fires_head();
     if (::testing::Test::HasFatalFailure()) return;
   }
-  // Only cancelled residue may remain; it must never fire.
-  const std::size_t total = fired.size();
-  while (sim.step()) {
-  }
-  EXPECT_EQ(fired.size(), total);
+  EXPECT_FALSE(sim.step());
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
@@ -140,7 +123,7 @@ TEST(BatchedDispatch, RunUntilStopsMidBucketAndKeepsTheTail) {
   sim::Simulator sim;
   std::vector<SimTime> fired;
   for (const SimTime at : {SimTime{10}, SimTime{20}, SimTime{30}}) {
-    sim.post_at(at, [&fired, at] { fired.push_back(at); });
+    sim.schedule_at(at, [&fired, at] { fired.push_back(at); });
   }
   sim.run_until(20);
   EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
@@ -152,27 +135,10 @@ TEST(BatchedDispatch, RunUntilStopsMidBucketAndKeepsTheTail) {
   EXPECT_EQ(sim.now(), 25);
 
   // A late insert that orders before the batch-resident 30.
-  sim.post_at(27, [&fired] { fired.push_back(27); });
+  sim.schedule_at(27, [&fired] { fired.push_back(27); });
   sim.run();
   EXPECT_EQ(fired, (std::vector<SimTime>{10, 20, 27, 30}));
   EXPECT_EQ(sim.now(), 30);
-}
-
-// The Cpu-preemption shape: an event cancels a same-bucket successor that
-// was drained into the batch alongside it.  begin_fire must skip it at
-// fire time, exactly like pop() would have.
-TEST(BatchedDispatch, CancelOfAlreadyDrainedSuccessorNeverFires) {
-  sim::Simulator sim;
-  std::vector<int> fired;
-  EventHandle doomed = sim.schedule_at(101, [&fired] { fired.push_back(2); });
-  sim.post_at(100, [&fired, &doomed] {
-    fired.push_back(1);
-    EXPECT_TRUE(doomed.cancel());
-  });
-  sim.post_at(102, [&fired] { fired.push_back(3); });
-  sim.run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
-  EXPECT_EQ(sim.now(), 102);
 }
 
 // Same-tick inserts made while their instant's batch is live must fire in
@@ -183,12 +149,12 @@ TEST(BatchedDispatch, SameTickInsertDuringBatchKeepsSeqOrder) {
   std::vector<int> fired;
   constexpr SimTime kT = 500;
   for (int i = 0; i < 8; ++i) {
-    sim.post_at(kT, [&fired, &sim, i] {
+    sim.schedule_at(kT, [&fired, &sim, i] {
       fired.push_back(i);
       if (i == 0) {
         // Inserted at the same instant while entries 1..7 sit unfired in
         // the batch: must run after all of them.
-        sim.post_at(kT, [&fired] { fired.push_back(100); });
+        sim.schedule_at(kT, [&fired] { fired.push_back(100); });
       }
     });
   }

@@ -1,6 +1,8 @@
 // Tests for the preemptive-priority CPU model and its time accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/awaitables.hpp"
@@ -121,6 +123,51 @@ TEST(Cpu, PreemptedJobResumesBeforeQueuedPeers) {
   EXPECT_EQ(done[1].second, usec(120));
   EXPECT_EQ(done[2].first, 2);  // then the queued peer -> 130
   EXPECT_EQ(done[2].second, usec(130));
+}
+
+// A preemptor displaces the running victim at `preempt_at`, leaving the
+// victim's first slice-end event stale in the queue.  The stale event
+// fires as a no-op: each job completes exactly once at its exact time, the
+// ledger conserves time, and the stale end is the only extra event.
+void check_stale_slice_end(Duration victim_cost, Duration preempt_at,
+                           Duration preemptor_cost, std::uint64_t l1_inserts) {
+  Simulator sim;
+  Cpu cpu(sim, "n0");
+  std::vector<std::pair<int, SimTime>> done;
+  run_job(cpu, 10, victim_cost, Category::kUser, done, 1);
+  delayed_job(sim, cpu, preempt_at, 500, preemptor_cost, done, 2);
+  sim.run();
+  const SimTime end = victim_cost + preemptor_cost;
+  EXPECT_EQ(done, (std::vector<std::pair<int, SimTime>>{
+                      {2, preempt_at + preemptor_cost}, {1, end}}));
+  EXPECT_EQ(sim.now(), end);
+  EXPECT_EQ(cpu.preemptions(), 1u);
+  cpu.finalize_accounting();
+  EXPECT_EQ(cpu.ledger().grand_total(), end);
+  EXPECT_EQ(cpu.ledger().busy_total(), end);
+  // Live events: the preemptor's delay wakeup, its slice end, and the
+  // victim's resumed slice end; plus one stale end per preemption.
+  EXPECT_EQ(sim.events_executed(), 3u + cpu.preemptions());
+  EXPECT_EQ(sim.queue_stats().l1_inserts, l1_inserts);
+  EXPECT_EQ(sim.queue_stats().heap_inserts, 0u);
+}
+
+TEST(Cpu, StaleSliceEndInLevel0IsANoOp) {
+  // Every event is under 12 µs out: the stale end sits in the level-0 ring.
+  check_stale_slice_end(usec(10), usec(4), usec(3), 0);
+}
+
+TEST(Cpu, StaleSliceEndInLevel1IsANoOp) {
+  // Table 1/2 slice costs: all four events, the stale end among them, take
+  // the level-1 wheel.
+  check_stale_slice_end(usec(200), usec(50), usec(20), 4);
+}
+
+TEST(Cpu, StaleSliceEndOnTheResumedSlicesTickIsANoOp) {
+  // A zero-cost preemptor with zero switch-in cost: the victim resumes at
+  // once and its new slice ends on the same tick as the stale one.  The
+  // stale end (scheduled first) fires first and must not complete the job.
+  check_stale_slice_end(usec(100), usec(30), 0, 3);
 }
 
 TEST(Cpu, IdleClassifierLabelsIdleSpans) {

@@ -14,9 +14,9 @@ namespace {
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.push(30, [&] { order.push_back(3); });
-  q.push(10, [&] { order.push_back(1); });
-  q.push(20, [&] { order.push_back(2); });
+  q.post(30, [&] { order.push_back(3); });
+  q.post(10, [&] { order.push_back(1); });
+  q.post(20, [&] { order.push_back(2); });
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -25,39 +25,10 @@ TEST(EventQueue, SameTimeFiresInInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.push(100, [&order, i] { order.push_back(i); });
+    q.post(100, [&order, i] { order.push_back(i); });
   }
   while (!q.empty()) q.pop().second();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(EventQueue, CancelPreventsFiring) {
-  EventQueue q;
-  int fired = 0;
-  EventHandle h = q.push(10, [&] { ++fired; });
-  q.push(20, [&] { ++fired; });
-  EXPECT_TRUE(h.pending());
-  EXPECT_TRUE(h.cancel());
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.cancel());  // second cancel is a no-op
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelLastRemainingEventEmptiesQueue) {
-  EventQueue q;
-  EventHandle h = q.push(10, [] {});
-  EXPECT_FALSE(q.empty());
-  h.cancel();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, HandleOutlivesFiredEvent) {
-  EventQueue q;
-  EventHandle h = q.push(5, [] {});
-  q.pop().second();
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.cancel());
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {

@@ -87,7 +87,7 @@ struct ToyExchange final : ShardExchange {
       EXPECT_GT(e.first, dst.now()) << "lookahead violation in drain";
       std::string* out = log;
       const int tag = e.second;
-      dst.post_at(e.first, [out, tag, at = e.first] {
+      dst.schedule_at(e.first, [out, tag, at = e.first] {
         *out += 't' + std::to_string(tag) + '@' + std::to_string(at) + ';';
       });
     }
@@ -101,13 +101,13 @@ TEST(ShardRuntime, SingleShardDelegatesToPlainRun) {
   {
     Simulator s;
     for (int i = 0; i < 4; ++i)
-      s.post_at(i * 10, [&want, i] { want += std::to_string(i); });
+      s.schedule_at(i * 10, [&want, i] { want += std::to_string(i); });
     s.run();
   }
   {
     ShardRuntime rt(1);
     for (int i = 0; i < 4; ++i)
-      rt.shard(0).post_at(i * 10, [&got, i] { got += std::to_string(i); });
+      rt.shard(0).schedule_at(i * 10, [&got, i] { got += std::to_string(i); });
     rt.run();
     EXPECT_EQ(rt.rounds(), 0u);
   }
@@ -129,17 +129,17 @@ TEST(ShardRuntime, CrossShardPingPong) {
   // Shard 0 sends a message every 25 ticks; shard 1 echoes each arrival
   // back.  Every hop crosses the shard boundary with latency kLat.
   for (int i = 0; i < 4; ++i) {
-    rt.shard(0).post_at(i * 25, [&to1, i, at = SimTime(i * 25)] {
+    rt.shard(0).schedule_at(i * 25, [&to1, i, at = SimTime(i * 25)] {
       to1.q.push({at + kLat, i});
     });
   }
   ToyExchange* echo_back = &to0;
   Simulator* s1 = &rt.shard(1);
-  rt.shard(1).post_at(0, [] {});  // give shard 1 a first event
+  rt.shard(1).schedule_at(0, [] {});  // give shard 1 a first event
   // Wrap to1's drain target: after each arrival fires on shard 1, echo.
   // (The ToyExchange already logs; schedule echoes alongside.)
   for (int i = 0; i < 4; ++i) {
-    rt.shard(1).post_at(i * 25 + kLat, [echo_back, s1, i] {
+    rt.shard(1).schedule_at(i * 25 + kLat, [echo_back, s1, i] {
       echo_back->q.push({s1->now() + kLat, 100 + i});
     });
   }
@@ -166,8 +166,8 @@ TEST(ShardRuntime, MinLatencyArrivalAtWindowEdge) {
 
   // First window is [0, 9] (LBTS 0).  An event at t=9 — the window's last
   // tick — sends with the minimum latency: arrival at 19.
-  rt.shard(0).post_at(9, [&ex] { ex.q.push({9 + kLat, 1}); });
-  rt.shard(1).post_at(0, [] {});
+  rt.shard(0).schedule_at(9, [&ex] { ex.q.push({9 + kLat, 1}); });
+  rt.shard(1).schedule_at(0, [] {});
   rt.run();
   EXPECT_EQ(log, "t1@19;");
 }
@@ -184,14 +184,14 @@ TEST(ShardRuntime, ZeroLatencyEventsStayIntraShard) {
   rt.register_exchange(1, &ex);
 
   Simulator* s0 = &rt.shard(0);
-  rt.shard(0).post_at(3, [s0, &log, &ex] {
+  rt.shard(0).schedule_at(3, [s0, &log, &ex] {
     log += "a;";
-    s0->post_after(0, [s0, &log, &ex] {  // same-instant chain, same shard
+    s0->schedule_after(0, [s0, &log, &ex] {  // same-instant chain, same shard
       log += "b;";
       ex.q.push({s0->now() + 5, 9});
     });
   });
-  rt.shard(1).post_at(0, [] {});
+  rt.shard(1).schedule_at(0, [] {});
   rt.run();
   EXPECT_EQ(log, "a;b;t9@8;");
 }
@@ -210,11 +210,11 @@ TEST(ShardRuntime, DrainOrderFollowsRegistration) {
     rt.register_exchange(1, &first);
     rt.register_exchange(1, &second);
     // Push into `second` before `first`; drain must still run `first` first.
-    rt.shard(0).post_at(0, [&first, &second] {
+    rt.shard(0).schedule_at(0, [&first, &second] {
       second.q.push({10, 2});
       first.q.push({10, 1});
     });
-    rt.shard(1).post_at(0, [] {});
+    rt.shard(1).schedule_at(0, [] {});
     rt.run();
     EXPECT_EQ(log, "t1@10;t2@10;");
   }
@@ -228,8 +228,8 @@ TEST(ShardRuntime, RunUntilAdvancesAllClocksToDeadline) {
   ex.log = &log;
   rt.register_exchange(1, &ex);
   int late = 0;
-  rt.shard(0).post_at(50, [&late] { ++late; });
-  rt.shard(1).post_at(70, [&late] { ++late; });
+  rt.shard(0).schedule_at(50, [&late] { ++late; });
+  rt.shard(1).schedule_at(70, [&late] { ++late; });
   rt.run_until(40);
   EXPECT_EQ(late, 0);
   EXPECT_EQ(rt.shard(0).now(), 40);
@@ -250,9 +250,9 @@ TEST(ShardRuntime, StopOnOneShardStopsTheRun) {
   rt.register_exchange(1, &ex);
   Simulator* s0 = &rt.shard(0);
   bool far_ran = false;
-  rt.shard(0).post_at(5, [s0] { s0->stop(); });
-  rt.shard(0).post_at(100000, [&far_ran] { far_ran = true; });
-  rt.shard(1).post_at(100000, [&far_ran] { far_ran = true; });
+  rt.shard(0).schedule_at(5, [s0] { s0->stop(); });
+  rt.shard(0).schedule_at(100000, [&far_ran] { far_ran = true; });
+  rt.shard(1).schedule_at(100000, [&far_ran] { far_ran = true; });
   rt.run();
   EXPECT_FALSE(far_ran);
   EXPECT_TRUE(rt.shard(0).stop_requested());
@@ -277,7 +277,7 @@ TEST(ShardRuntime, DeterministicAcrossRepeatedRuns) {
       ToyExchange* out = exs[static_cast<std::size_t>(s)].get();
       Simulator* sim = &rt.shard(s);
       for (int i = 0; i < 50; ++i) {
-        rt.shard(s).post_at(s * 3 + i * 11, [out, sim, s, i] {
+        rt.shard(s).schedule_at(s * 3 + i * 11, [out, sim, s, i] {
           out->q.push({sim->now() + kLat, s * 1000 + i});
         });
       }
@@ -297,8 +297,8 @@ TEST(ShardRuntime, DeterministicAcrossRepeatedRuns) {
 TEST(ShardRuntime, TotalEventsSumAcrossShards) {
   ShardRuntime rt(2);
   rt.note_cross_shard_latency(10);
-  for (int i = 0; i < 3; ++i) rt.shard(0).post_at(i, [] {});
-  for (int i = 0; i < 5; ++i) rt.shard(1).post_at(i, [] {});
+  for (int i = 0; i < 3; ++i) rt.shard(0).schedule_at(i, [] {});
+  for (int i = 0; i < 5; ++i) rt.shard(1).schedule_at(i, [] {});
   rt.run();
   EXPECT_EQ(rt.total_events_executed(), 8u);
 }

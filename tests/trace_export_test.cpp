@@ -114,7 +114,7 @@ TEST(Counters, LinkCountsWireBytesAndSamplesTimeline) {
   link.send(std::move(first));
   // The transmitter frees after serialization (100 wire bytes x 50 ns);
   // queue the second frame once it is ready again.
-  sim.post_at(sim::usec(6), [&link] {
+  sim.schedule_at(sim::usec(6), [&link] {
     hw::Frame second;
     second.dst = 1;
     second.payload_bytes = 84;

@@ -174,7 +174,7 @@ TEST(Multicast, RemoveMemberReleasesWriteBlockedOnDeadSubtree) {
     write_done.push_back(sim.now());
   });
   const sim::SimTime repair_at = sim::msec(5);
-  sim.post_at(repair_at, [&] {
+  sim.schedule_at(repair_at, [&] {
     for (int i : {0, 1, 2}) {
       handles[static_cast<std::size_t>(i)]->remove_member(8);
     }

@@ -118,14 +118,14 @@ TEST(WorkloadFault, LinkDownMidFrameLeaksNoPayloadsAndRxPumpSurvives) {
   };
 
   for (int i = 0; i < 20; ++i) {
-    sim.post_at(sim::usec(10) * i,
+    sim.schedule_at(sim::usec(10) * i,
                 [&, i] { send_one(static_cast<std::uint64_t>(i)); });
   }
-  sim.post_at(sim::usec(55),
+  sim.schedule_at(sim::usec(55),
               [&] { sys.fabric().apply_cube_fault(0, 0, 1, /*up=*/false); });
-  sim.post_at(sim::usec(150),
+  sim.schedule_at(sim::usec(150),
               [&] { sys.fabric().apply_cube_fault(0, 0, 1, /*up=*/true); });
-  sim.post_at(sim::usec(400), [&] { send_one(999); });
+  sim.schedule_at(sim::usec(400), [&] { send_one(999); });
   sim.run();
 
   EXPECT_GE(got.size(), 3u);   // the pre-fault stream got through
