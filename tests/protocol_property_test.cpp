@@ -3,7 +3,10 @@
 // seeds, partition counts, and mixed traffic.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "apps/cemu_app.hpp"
 #include "apps/fft2d_app.hpp"
@@ -191,28 +194,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CemuSeeds,
 // 2-D FFT: bit-exactness across sizes, partitions, exchanges, topologies.
 // ---------------------------------------------------------------------------
 
+// gtest prints a parameter without a printer as its raw bytes, and those
+// bytes are the test's name.  The three bytes after `multicast` were once
+// uninitialised padding, so the names changed from process to process; they
+// are now a field of their own holding the bytes of an earlier listing, which
+// keeps every name fixed.  The static_asserts below rule out hidden padding.
 struct FftSweepParam {
   int n;
   int p;
   bool multicast;
+  std::array<std::uint8_t, 3> name_bytes;
   vorx::McastMode mode;
 };
+static_assert(sizeof(FftSweepParam) == 16);
+static_assert(std::has_unique_object_representations_v<FftSweepParam>);
 
 class Fft2dSweep : public ::testing::TestWithParam<FftSweepParam> {};
 
 TEST_P(Fft2dSweep, BitExactAgainstSerial) {
-  const auto [n, p, multicast, mode] = GetParam();
+  const FftSweepParam& prm = GetParam();
   sim::Simulator sim;
   vorx::SystemConfig scfg;
-  scfg.nodes = p;
+  scfg.nodes = prm.p;
   scfg.stations_per_cluster = 4;
   vorx::System sys(sim, scfg);
   Fft2dConfig cfg;
-  cfg.n = n;
-  cfg.p = p;
-  cfg.use_multicast = multicast;
-  cfg.mcast_mode = mode;
-  cfg.seed = static_cast<std::uint64_t>(n * 1000 + p);
+  cfg.n = prm.n;
+  cfg.p = prm.p;
+  cfg.use_multicast = prm.multicast;
+  cfg.mcast_mode = prm.mode;
+  cfg.seed = static_cast<std::uint64_t>(prm.n * 1000 + prm.p);
   const Fft2dResult res = run_fft2d(sim, sys, cfg);
   EXPECT_TRUE(res.matches_serial);
 }
@@ -220,12 +231,18 @@ TEST_P(Fft2dSweep, BitExactAgainstSerial) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, Fft2dSweep,
     ::testing::Values(
-        FftSweepParam{16, 2, false, vorx::McastMode::kSoftwareTree},
-        FftSweepParam{32, 8, false, vorx::McastMode::kSoftwareTree},
-        FftSweepParam{64, 16, false, vorx::McastMode::kSoftwareTree},
-        FftSweepParam{32, 8, true, vorx::McastMode::kSoftwareTree},
-        FftSweepParam{32, 8, true, vorx::McastMode::kHardware},
-        FftSweepParam{64, 16, true, vorx::McastMode::kHardware}));
+        FftSweepParam{16, 2, false, {0x12, 0x47, 0xCF},
+                      vorx::McastMode::kSoftwareTree},
+        FftSweepParam{32, 8, false, {0x12, 0x47, 0xCF},
+                      vorx::McastMode::kSoftwareTree},
+        FftSweepParam{64, 16, false, {0x12, 0x47, 0xCF},
+                      vorx::McastMode::kSoftwareTree},
+        FftSweepParam{32, 8, true, {0xFE, 0xFF, 0xFF},
+                      vorx::McastMode::kSoftwareTree},
+        FftSweepParam{32, 8, true, {0x05, 0x06, 0x1E},
+                      vorx::McastMode::kHardware},
+        FftSweepParam{64, 16, true, {0x0F, 0x06, 0x1E},
+                      vorx::McastMode::kHardware}));
 
 }  // namespace
 }  // namespace hpcvorx::apps
