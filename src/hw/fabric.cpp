@@ -81,23 +81,18 @@ void Fabric::add_trunk_link(int from, int to, int port_out, int port_in,
       "c" + std::to_string(from) + ">c" + std::to_string(to);
   const int lo = std::min(from, to);
   const int hi = std::max(from, to);
-  // The two directions of a cable register back to back, so the common
-  // case finds its registry entry at the tail — construction stays O(E).
-  CubePair* entry = nullptr;
-  if (!cube_pairs_.empty() && cube_pairs_.back().a == lo &&
-      cube_pairs_.back().b == hi) {
-    entry = &cube_pairs_.back();
-  } else if (const int idx = cube_pair_index(lo, hi); idx >= 0) {
-    entry = &cube_pairs_[static_cast<std::size_t>(idx)];
+  // One registry entry per cable, found in O(1) by its (lo, hi) key: the
+  // cable's first direction creates it, the second finds it, so
+  // construction stays O(E).
+  const auto [it, fresh] = cube_pair_of_.try_emplace(
+      cube_pair_key(lo, hi), static_cast<int>(cube_pairs_.size()));
+  if (fresh) {
+    cube_pairs_.push_back(CubePair{.a = lo,
+                                   .b = hi,
+                                   .port_a = from == lo ? port_out : port_in,
+                                   .port_b = from == lo ? port_in : port_out});
   }
-  if (entry == nullptr) {
-    cube_pairs_.push_back(CubePair{});
-    entry = &cube_pairs_.back();
-    entry->a = lo;
-    entry->b = hi;
-    entry->port_a = from == lo ? port_out : port_in;
-    entry->port_b = from == lo ? port_in : port_out;
-  }
+  CubePair* entry = &cube_pairs_[static_cast<std::size_t>(it->second)];
   if (shard_of_cluster(from) == shard_of_cluster(to)) {
     Link* l = new_link(cluster_sim(from), name, p);
     clusters_[static_cast<std::size_t>(from)]->attach_out(port_out, l);
@@ -279,14 +274,9 @@ std::vector<std::pair<int, int>> Fabric::cube_edge_pairs() const {
 }
 
 int Fabric::cube_pair_index(int a, int b) const {
-  const int lo = std::min(a, b);
-  const int hi = std::max(a, b);
-  for (std::size_t i = 0; i < cube_pairs_.size(); ++i) {
-    if (cube_pairs_[i].a == lo && cube_pairs_[i].b == hi) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+  const auto it =
+      cube_pair_of_.find(cube_pair_key(std::min(a, b), std::max(a, b)));
+  return it == cube_pair_of_.end() ? -1 : it->second;
 }
 
 std::vector<char>& Fabric::edge_mirror(int shard) {

@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hw/cluster.hpp"
@@ -290,6 +291,10 @@ class Fabric {
   [[nodiscard]] sim::Simulator& cluster_sim(int c);
   [[nodiscard]] FramePool& pool_for_shard(int shard);
   [[nodiscard]] int cube_pair_index(int a, int b) const;  // -1: no cable
+  [[nodiscard]] static std::uint64_t cube_pair_key(int lo, int hi) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) << 32) |
+           static_cast<std::uint32_t>(hi);
+  }
   /// The shard's cable mirror, created on first use (all cables up).
   std::vector<char>& edge_mirror(int shard);
   /// Rebuilds `shard`'s fault-route table from its link-state mirror.
@@ -325,6 +330,8 @@ class Fabric {
     Link* ba_rx = nullptr;
   };
   std::vector<CubePair> cube_pairs_;
+  // cube_pair_key(lo, hi) -> index into cube_pairs_.
+  std::unordered_map<std::uint64_t, int> cube_pair_of_;
   // Fault-time state, all lazily allocated on a shard's first fault (a
   // no-fault run at 4096 nodes carries zero bytes of it):
   //   * shard_edge_up_[shard][pair] — the shard's cable-state mirror;

@@ -18,7 +18,7 @@ void Link::send(Frame f) {
     tx_busy_ = false;
     notify_ready();
   });
-  if (remote_sink_) {
+  if (remote_) {
     // Cross-shard TX half: reserve the peer-side buffer slot now (freed by
     // remote_credit) and hand the frame over immediately — the sink must
     // see it during the window that sent it, not one latency later, or the
@@ -31,11 +31,30 @@ void Link::send(Frame f) {
     remote_sink_(sim_.now() + ser + p_.latency, std::move(f));
     return;
   }
-  inflight_.push_back(std::move(f));
+  push_back(std::move(f));
   sim_.schedule_after(ser + p_.latency, [this, e = fault_epoch_] {
     if (e != fault_epoch_) return;
     deliver_head();
   });
+}
+
+void Link::push_back(Frame&& f) {
+  if (count_ == slots_.size()) {
+    // Full: double (first use: 2 slots), capped at buffer_frames — ready()
+    // never lets the ring hold more.  The frames move to the front of the
+    // new storage in FIFO order.
+    const std::size_t cap = std::min<std::size_t>(
+        std::max<std::size_t>(2 * slots_.size(), 2), buffer_frames_);
+    assert(cap > count_ && "ring push beyond buffer_frames");
+    std::vector<Frame> grown(cap);
+    for (std::uint32_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(slots_[slot(i)]);
+    }
+    slots_.swap(grown);
+    head_ = 0;
+  }
+  slots_[slot(count_)] = std::move(f);
+  ++count_;
 }
 
 void Link::set_down() {
@@ -43,14 +62,18 @@ void Link::set_down() {
   down_ = true;
   ++fault_epoch_;
   tx_busy_ = false;
-  frames_dropped_ += inflight_.size() + buffer_.size();
+  frames_dropped_ += count_;
   // RX half: every cleared buffer slot is reported back as a credit, or
   // the peer TX half's slot accounting would leak the lost frames' slots.
   if (credit_cb_) {
-    for (std::size_t i = 0; i < buffer_.size(); ++i) credit_cb_(sim_.now());
+    for (std::uint32_t i = 0; i < buffered_; ++i) credit_cb_(sim_.now());
   }
-  inflight_.clear();
-  buffer_.clear();
+  // The lost frames' payloads are released now, not when a slot is next
+  // overwritten.
+  for (std::uint32_t i = 0; i < count_; ++i) slots_[slot(i)].data.reset();
+  head_ = 0;
+  count_ = 0;
+  buffered_ = 0;
   // TX half: the peer RX clears its buffer (and drops late arrivals) at
   // the same virtual time, so every reserved slot is gone; the credits it
   // emits for them are absorbed by the post-fault guard in remote_credit.
@@ -66,7 +89,7 @@ void Link::set_up() {
 }
 
 void Link::remote_credit() {
-  assert(remote_sink_ && "credit on a link that is not a cross-shard TX half");
+  assert(remote_ && "credit on a link that is not a cross-shard TX half");
   assert(remote_unacked_ > 0 || fault_epoch_ > 0);
   // A set_down() zeroed the count while this credit was in flight; the
   // slot it frees was already reclaimed, so the credit is stale.
@@ -81,33 +104,41 @@ void Link::deliver_remote(Frame f) {
   // outstanding frames to the buffer size, so this never overflows —
   // except around a fault, where a pre-outage frame can arrive after slot
   // accounting was reset; such arrivals are dropped and credited back.
-  if (down_ || buffer_.size() >= static_cast<std::size_t>(p_.buffer_frames)) {
+  if (down_ || buffered_ >= buffer_frames_) {
     assert((down_ || fault_epoch_ > 0) && "RX overflow on a never-faulted link");
     ++frames_dropped_;
     if (credit_cb_) credit_cb_(sim_.now());
     return;
   }
-  buffer_.push_back(std::move(f));
-  peak_buffered_ = std::max(peak_buffered_, buffer_.size());
+  // An RX half's ring holds landed frames only, so the arrival joins the
+  // back of the buffer.
+  push_back(std::move(f));
+  ++buffered_;
+  peak_buffered_ = std::max<std::size_t>(peak_buffered_, buffered_);
   sample_depth();
   if (deliver_cb_) deliver_cb_();
 }
 
 void Link::deliver_head() {
-  Frame f = std::move(inflight_.front());
-  inflight_.pop_front();
+  // The oldest propagating frame sits right behind the landed ones.
+  assert(buffered_ < count_ && "delivery with nothing propagating");
+  const Frame& f = slots_[slot(buffered_)];
+  ++buffered_;
   ++frames_carried_;
   bytes_carried_ += f.wire_bytes();
-  buffer_.push_back(std::move(f));
-  peak_buffered_ = std::max(peak_buffered_, buffer_.size());
+  peak_buffered_ = std::max<std::size_t>(peak_buffered_, buffered_);
   sample_depth();
   if (deliver_cb_) deliver_cb_();
 }
 
 std::optional<Frame> Link::take() {
-  if (buffer_.empty()) return std::nullopt;
-  Frame f = std::move(buffer_.front());
-  buffer_.pop_front();
+  if (buffered_ == 0) return std::nullopt;
+  // Moving out leaves the slot's payload pointer null: the ring keeps no
+  // reference to a frame it no longer holds.
+  std::optional<Frame> f(std::move(slots_[head_]));
+  head_ = static_cast<std::uint32_t>(slot(1));
+  --buffered_;
+  --count_;
   sample_depth();
   if (credit_cb_) {
     // RX half: the freed slot is reported to the peer shard's TX half as a
@@ -123,7 +154,7 @@ void Link::sample_depth() {
   sim::CounterTimeline& ct = sim_.counters();
   if (!ct.enabled()) return;
   ct.sample(name_, "buffered_frames", sim_.now(),
-            static_cast<double>(buffer_.size()));
+            static_cast<double>(buffered_));
   ct.sample(name_, "kbytes_carried", sim_.now(),
             static_cast<double>(bytes_carried_) / 1e3);
 }

@@ -1,9 +1,14 @@
 // Direct tests of the cluster switch (wired by hand, without a Fabric).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "hw/cluster.hpp"
+#include "hw/fabric.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace hpcvorx::hw {
@@ -193,6 +198,286 @@ TEST(Cluster, BackpressurePropagatesUpstream) {
   }
   sim.run();
   EXPECT_EQ(sent, 10);
+}
+
+
+// ---- busy-input mask arbitration ----
+
+// Sends `frames` on `in` as fast as its flow control allows.
+void feed(Link* in, std::vector<Frame> frames) {
+  auto q = std::make_shared<std::vector<Frame>>(std::move(frames));
+  auto next = std::make_shared<std::size_t>(0);
+  auto push = [in, q, next] {
+    while (*next < q->size() && in->ready()) in->send((*q)[(*next)++]);
+  };
+  in->set_ready_cb(push);
+  push();
+}
+
+// Records the seq of every frame reaching output `port`, in order.
+void record(Rig& rig, int port, std::vector<std::uint64_t>& got) {
+  Link* out = rig.outs[static_cast<std::size_t>(port)].get();
+  out->set_deliver_cb([out, &got] {
+    while (auto f = out->take()) got.push_back(f->seq);
+  });
+}
+
+TEST(ClusterArbiter, RoundRobinWrapsAcrossTheLastPort) {
+  sim::Simulator sim;
+  Rig rig(sim, 16);
+  // Two frames from input 13 fill output 5's buffer and leave its cursor
+  // at 14.
+  feed(rig.ins[13].get(), {frame_to(5, 32, 13), frame_to(5, 32, 13)});
+  sim.run();
+  ASSERT_EQ(rig.outs[5]->buffered(), 2u);
+  // Inputs 1, 0, 15, 14 (in that arrival order) each park two frames for
+  // the full output.
+  for (const int p : {1, 0, 15, 14}) {
+    const auto seq = static_cast<std::uint64_t>(p);
+    feed(rig.ins[static_cast<std::size_t>(p)].get(),
+         {frame_to(5, 32, seq), frame_to(5, 32, seq)});
+  }
+  sim.run();
+  EXPECT_EQ(rig.cluster.frames_forwarded(), 2u);
+  std::vector<std::uint64_t> got;
+  record(rig, 5, got);
+  while (auto f = rig.outs[5]->take()) got.push_back(f->seq);
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{13, 13, 14, 15, 0, 1, 14, 15, 0,
+                                             1}));
+}
+
+TEST(ClusterArbiter, InputDownedWithAParkedHeadForwardsAfterRecovery) {
+  sim::Simulator sim;
+  Rig rig(sim, 8);
+  // Fill output 2, then park a head on input 3 behind it.
+  feed(rig.ins[0].get(), {frame_to(2, 32, 0), frame_to(2, 32, 0)});
+  sim.run();
+  feed(rig.ins[3].get(), {frame_to(2, 32, 3)});
+  sim.run();
+  ASSERT_EQ(rig.ins[3]->buffered(), 1u);
+  // The cable fails under the parked head: the frame is lost without the
+  // cluster hearing of it, so input 3's busy bit goes stale.
+  rig.ins[3]->set_down();
+  EXPECT_EQ(rig.ins[3]->frames_dropped(), 1u);
+  // Draining output 2 makes its arbiter scan input 3 and find it empty.
+  std::vector<std::uint64_t> got;
+  record(rig, 2, got);
+  while (auto f = rig.outs[2]->take()) got.push_back(f->seq);
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_EQ(rig.cluster.frames_forwarded(), 2u);
+  // After repair, fresh traffic on input 3 goes out on both the output it
+  // parked for and another one.
+  rig.ins[3]->set_up();
+  std::vector<std::uint64_t> got1;
+  record(rig, 1, got1);
+  feed(rig.ins[3].get(),
+       {frame_to(2, 32, 30), frame_to(1, 32, 31), frame_to(2, 32, 32)});
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 0, 30, 32}));
+  EXPECT_EQ(got1, (std::vector<std::uint64_t>{31}));
+  EXPECT_EQ(rig.cluster.frames_forwarded(), 5u);
+  EXPECT_EQ(rig.cluster.frames_dropped(), 0u);
+}
+
+TEST(ClusterArbiter, RestartDropsParkedFramesThenServesNewTraffic) {
+  sim::Simulator sim;
+  Rig rig(sim, 8);
+  feed(rig.ins[6].get(), {frame_to(4, 32, 6), frame_to(4, 32, 6)});
+  sim.run();  // output 4 full, cursor at 7
+  for (const int p : {1, 5, 7}) {
+    feed(rig.ins[static_cast<std::size_t>(p)].get(),
+         {frame_to(4, 32, static_cast<std::uint64_t>(p)),
+          frame_to(4, 32, static_cast<std::uint64_t>(p))});
+  }
+  sim.run();
+  rig.cluster.restart();
+  EXPECT_EQ(rig.cluster.frames_dropped(), 6u);
+  sim.run();
+  // The restart reset the cursor to 0: new traffic from 7, 5 and 1 is
+  // served 1, 5, 7 once output 4 drains.
+  for (const int p : {7, 5, 1}) {
+    feed(rig.ins[static_cast<std::size_t>(p)].get(),
+         {frame_to(4, 32, static_cast<std::uint64_t>(10 + p))});
+  }
+  sim.run();
+  std::vector<std::uint64_t> got;
+  record(rig, 4, got);
+  while (auto f = rig.outs[4]->take()) got.push_back(f->seq);
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{6, 6, 11, 15, 17}));
+  EXPECT_EQ(rig.cluster.frames_forwarded(), 5u);
+  EXPECT_EQ(rig.cluster.frames_dropped(), 6u);
+}
+
+TEST(ClusterArbiter, MixedMulticastAndUnicastHeads) {
+  sim::Simulator sim;
+  Rig rig(sim, 8);
+  rig.cluster.set_multicast_route(9, {1, 2});
+  std::vector<std::uint64_t> got1, got2;
+  record(rig, 1, got1);
+  record(rig, 2, got2);
+  auto mcast = [](std::uint64_t seq) {
+    Frame f;
+    f.group = 9;
+    f.payload_bytes = 48;
+    f.seq = seq;
+    return f;
+  };
+  // Input 0 alternates group and unicast heads; inputs 3 and 6 compete
+  // for the same outputs with unicast only.
+  feed(rig.ins[0].get(), {mcast(100), frame_to(1, 32, 101), mcast(102),
+                          frame_to(2, 32, 103), mcast(104)});
+  feed(rig.ins[3].get(), {frame_to(1, 32, 300), frame_to(2, 32, 301),
+                          frame_to(1, 32, 302)});
+  feed(rig.ins[6].get(), {frame_to(2, 32, 600), frame_to(2, 32, 601)});
+  sim.run();
+  // Every frame arrives once, and each input's frames keep their order
+  // on every output.
+  auto from = [](const std::vector<std::uint64_t>& v, std::uint64_t base) {
+    std::vector<std::uint64_t> out;
+    for (const std::uint64_t s : v) {
+      if (s / 100 == base / 100) out.push_back(s);
+    }
+    return out;
+  };
+  EXPECT_EQ(from(got1, 100), (std::vector<std::uint64_t>{100, 101, 102, 104}));
+  EXPECT_EQ(from(got2, 100), (std::vector<std::uint64_t>{100, 102, 103, 104}));
+  EXPECT_EQ(from(got1, 300), (std::vector<std::uint64_t>{300, 302}));
+  EXPECT_EQ(from(got2, 300), (std::vector<std::uint64_t>{301}));
+  EXPECT_EQ(from(got2, 600), (std::vector<std::uint64_t>{600, 601}));
+  EXPECT_EQ(rig.cluster.multicast_copies(9), 6u);
+  EXPECT_EQ(rig.cluster.frames_forwarded(), 7u + 6u);
+  EXPECT_EQ(rig.cluster.frames_forwarded(),
+            7u + rig.cluster.multicast_copies_total());
+}
+
+// A 64-station adaptive cube under cable flaps and cluster restarts: the
+// arbiters must neither lose nor duplicate a frame, and the replica
+// accounting must hold on the fabric the faults left behind.
+TEST(ClusterArbiter, AdaptiveCubeSurvivesFlapsAndRestarts) {
+  sim::Simulator sim;
+  FabricParams params;
+  params.routing = RoutingMode::kAdaptive;
+  auto fab = Fabric::hypercube(sim, 64, 4, params);  // 16 clusters, 4 dims
+  constexpr int kStations = 64;
+  std::vector<StationId> members;
+  for (StationId s = 0; s < kStations; s += 5) members.push_back(s);
+  fab->add_multicast_group(3, /*root=*/0, members);
+
+  std::uint64_t delivered = 0;
+  std::uint64_t unicast_hops = 0;
+  std::uint64_t mcast_delivered = 0;
+  for (StationId s = 0; s < kStations; ++s) {
+    Fabric* f = fab.get();
+    f->endpoint(s).set_rx_cb([f, s, &delivered, &unicast_hops,
+                              &mcast_delivered] {
+      while (auto fr = f->endpoint(s).rx_take()) {
+        if (fr->group != 0) {
+          ++mcast_delivered;
+        } else {
+          EXPECT_EQ(fr->dst, s);
+          ++delivered;
+          unicast_hops += static_cast<std::uint64_t>(fr->hops);
+        }
+      }
+    });
+  }
+  // Seeded open-loop unicast traffic: each station queues frames and
+  // sends them as flow control allows.
+  sim::Rng rng(1405);
+  std::vector<std::vector<Frame>> queues(kStations);
+  std::uint64_t sent = 0;
+  // Station 0 interleaves `groups` group frames into its stream.
+  auto inject = [&](int per_station, int groups) {
+    for (StationId s = 0; s < kStations; ++s) {
+      std::vector<Frame>& q = queues[static_cast<std::size_t>(s)];
+      q.clear();
+      for (int i = 0; i < per_station; ++i) {
+        if (s == 0 && i % 3 == 1 && i / 3 < groups) {
+          Frame g;
+          g.group = 3;
+          g.payload_bytes = 256;
+          q.push_back(g);
+        }
+        auto dst = static_cast<StationId>(rng.below(kStations - 1));
+        if (dst >= s) ++dst;
+        q.push_back(frame_to(
+            dst, 64 + static_cast<std::uint32_t>(rng.below(512))));
+        ++sent;
+      }
+      Endpoint& ep = fab->endpoint(s);
+      auto next = std::make_shared<std::size_t>(0);
+      auto push = [&ep, &q, next] {
+        while (*next < q.size() && ep.tx_ready()) ep.transmit(q[(*next)++]);
+      };
+      ep.set_tx_ready_cb(push);
+      push();
+    }
+  };
+
+  // Phase 1: traffic under faults.  Cables flap (each down for 20 us) and
+  // clusters power-cycle while frames are parked everywhere.
+  inject(40, 0);
+  const std::vector<std::pair<int, int>> cables = fab->cube_edge_pairs();
+  for (int k = 0; k < 12; ++k) {
+    const auto [a, b] =
+        cables[static_cast<std::size_t>(rng.below(cables.size()))];
+    const sim::SimTime at = sim::usec(5 + 15 * k);
+    sim.schedule_at(at, [&fab, a, b] { fab->apply_cube_fault(0, a, b, false); });
+    sim.schedule_at(at + sim::usec(20),
+                    [&fab, a, b] { fab->apply_cube_fault(0, a, b, true); });
+    if (k % 3 == 0) {
+      const int c = static_cast<int>(rng.below(16));
+      sim.schedule_at(at + sim::usec(7),
+                      [&fab, c] { fab->apply_cluster_restart(0, c); });
+    }
+  }
+  sim.run();
+  // Fault-time routes follow BFS tables that are outside the adaptive
+  // deadlock-freedom argument (DESIGN.md §15.3), and with this schedule a
+  // buffer-wait cycle forms while cables are down; it outlives the repair.
+  // A power cycle of every cluster clears it: each parked frame is
+  // counted as dropped, and the rest of the schedule drains over the
+  // repaired cube.
+  for (int c = 0; c < fab->num_clusters(); ++c) {
+    fab->apply_cluster_restart(0, c);
+  }
+  sim.run();
+  EXPECT_EQ(sent, delivered + fab->frames_dropped());
+  EXPECT_GT(fab->frames_dropped(), 0u);
+
+  // Phase 2: every cable is back; unicast and group traffic on the
+  // fabric the faults left behind.  No frame is lost now, so every
+  // forward is either a unicast hop or a multicast replica.
+  auto forwarded = [&] {
+    std::uint64_t n = 0;
+    for (int c = 0; c < fab->num_clusters(); ++c) {
+      n += fab->cluster(c).frames_forwarded();
+    }
+    return n;
+  };
+  auto replicas = [&] {
+    std::uint64_t n = 0;
+    for (int c = 0; c < fab->num_clusters(); ++c) {
+      n += fab->cluster(c).multicast_copies_total();
+    }
+    return n;
+  };
+  const std::uint64_t fwd0 = forwarded();
+  const std::uint64_t rep0 = replicas();
+  const std::uint64_t hops0 = unicast_hops;
+  const std::uint64_t dropped0 = fab->frames_dropped();
+  const std::uint64_t sent0 = sent;
+  const std::uint64_t delivered0 = delivered;
+  inject(30, 4);
+  sim.run();
+  EXPECT_EQ(fab->frames_dropped(), dropped0);
+  EXPECT_EQ(delivered - delivered0, sent - sent0);
+  EXPECT_EQ(mcast_delivered, 4u * (members.size() - 1));
+  EXPECT_EQ(forwarded() - fwd0,
+            (unicast_hops - hops0) + (replicas() - rep0));
 }
 
 }  // namespace
