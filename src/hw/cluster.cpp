@@ -31,30 +31,31 @@ Cluster::Cluster(sim::Simulator& sim, std::string name, int num_ports)
       hol_since_(num_ports, -1) {}
 
 // Every frame leaves an input fifo through here.  The busy bit must clear
-// *before* take(): the freed slot notifies upstream, and that cascade can
-// come back around a full-duplex cable pair into this switch's arbiters,
-// which must already see the fifo as empty — exactly as the fifo itself
-// reads once take() has popped the frame.
-std::optional<Frame> Cluster::pop_input(int in_port) {
+// *before* the take: the freed slot notifies upstream, and that cascade
+// can come back around a full-duplex cable pair into this switch's
+// arbiters, which must already see the fifo as empty — exactly as the fifo
+// itself reads once the take has popped the frame.
+FrameStore::Handle Cluster::pop_input(int in_port) {
   Link* in = ins_[static_cast<std::size_t>(in_port)];
   if (in->buffered() == 1) clear_busy(in_port);
-  return in->take();
+  return in->take_handle();
 }
 
 // Consumes the head of `in_port`, closing its head-of-line wait span and
 // opening one for the next frame (if any).  All cluster forwarding paths
 // must take input frames through here so the blocked-time counter is exact
 // and the head's cached route decision is retired with it.
-Frame Cluster::take_input(int in_port) {
+FrameStore::Handle Cluster::take_input(int in_port) {
   const auto p = static_cast<std::size_t>(in_port);
   if (hol_since_[p] >= 0) {
     hol_blocked_ += sim_.now() - hol_since_[p];
     hol_since_[p] = -1;
   }
   head_route_ok_[p] = 0;
-  Frame f = *pop_input(in_port);
-  if (ins_[p]->peek() != nullptr) hol_since_[p] = sim_.now();
-  return f;
+  const FrameStore::Handle h = pop_input(in_port);
+  assert(h != FrameStore::kNone && "take_input with an empty input fifo");
+  if (ins_[p]->buffered() != 0) hol_since_[p] = sim_.now();
+  return h;
 }
 
 // Samples the cumulative forwarding counters after a forward completed.
@@ -76,12 +77,14 @@ void Cluster::sample_mcast_copies(std::uint64_t gid) {
 
 void Cluster::attach_in(int port, Link* in) {
   assert(port >= 0 && port < num_ports() && ins_[port] == nullptr);
+  use_store(in->store());
   ins_[port] = in;
   in->set_deliver_cb([this, port] { on_input(port); });
 }
 
 void Cluster::attach_out(int port, Link* out) {
   assert(port >= 0 && port < num_ports() && outs_[port] == nullptr);
+  use_store(out->store());
   outs_[port] = out;
   out->set_ready_cb([this, port] { try_output(port); });
 }
@@ -114,7 +117,7 @@ int Cluster::head_route(int in_port) {
 // Consumes the head of `in_port` as a routing-fault loss: unreachable
 // destination after rerouting, or a restart() wiping the fifo.
 void Cluster::drop_head(int in_port) {
-  (void)take_input(in_port);
+  store_->release(take_input(in_port));
   ++frames_dropped_;
 }
 
@@ -128,10 +131,14 @@ void Cluster::drop_unroutable(int in_port) {
 void Cluster::restart() {
   for (int p = 0; p < num_ports(); ++p) {
     if (ins_[static_cast<std::size_t>(p)] == nullptr) continue;
-    // Draining through take() (not take_input) keeps the upstream
+    // Draining through pop_input (not take_input) keeps the upstream
     // flow-control exact — freed slots notify the sender / credit the peer
     // shard — while the head-of-line clocks simply reset.
-    while (pop_input(p)) ++frames_dropped_;
+    for (FrameStore::Handle h = pop_input(p); h != FrameStore::kNone;
+         h = pop_input(p)) {
+      store_->release(h);
+      ++frames_dropped_;
+    }
     clear_busy(p);  // also drops a stale bit left by Link::set_down()
     hol_since_[static_cast<std::size_t>(p)] = -1;
     head_route_ok_[static_cast<std::size_t>(p)] = 0;
@@ -192,21 +199,29 @@ bool Cluster::forward_head(int in_port) {
   // Hold every replication port across the take: its upstream-notify
   // cascade must not re-enter their arbiters and steal a checked slot.
   for (int p : ports) ++out_hold_[static_cast<std::size_t>(p)];
-  Frame f = take_input(in_port);
+  const FrameStore::Handle h = take_input(in_port);
+  Frame& f = (*store_)[h];
   ++f.hops;
-  for (int p : ports) {
+  const std::uint64_t gid = f.group;
+  const std::uint32_t wire = f.wire_bytes();
+  // Replication: every port but the last gets a copy in a fresh slot (the
+  // store never moves `f` as it grows); the last port gets the original.
+  // The original goes last because a cross-shard send moves it out.
+  for (std::size_t i = 0; i < ports.size(); ++i) {
     ++forwarded_;
-    bytes_fwd_ += f.wire_bytes();
-    outs_[static_cast<std::size_t>(p)]->send(f);
+    bytes_fwd_ += wire;
+    Link* out = outs_[static_cast<std::size_t>(ports[i])];
+    out->send_handle(i + 1 < ports.size() ? store_->put(f) : h);
   }
+  if (ports.empty()) store_->release(h);
   for (int p : ports) --out_hold_[static_cast<std::size_t>(p)];
   // Replica accounting: k output ports -> k counted above, and the same k
   // attributed to the frame's group (see the invariant in cluster.hpp).
   const auto copies = static_cast<std::uint64_t>(ports.size());
-  mcast_copies_[f.group] += copies;
+  mcast_copies_[gid] += copies;
   mcast_copies_total_ += copies;
   sample_forwarded();
-  sample_mcast_copies(f.group);
+  sample_mcast_copies(gid);
   // The next head may be unicast or multicast; give it a chance now.
   if (const Frame* next = ins_[in_port]->peek()) {
     if (next->group != 0) {
@@ -224,6 +239,9 @@ bool Cluster::forward_head(int in_port) {
 }
 
 void Cluster::try_output(int out_port) {
+  // No input holds a frame: nothing can be taken, routed or dropped, so
+  // skip reading the output link.
+  if (!any_busy()) return;
   Link* out = outs_[out_port];
   if (out == nullptr) return;
   // A held port is mid-forward further up the call stack (see out_hold_):
@@ -288,11 +306,13 @@ void Cluster::try_output(int out_port) {
     }
     if (chosen < 0) return;
     rr_next_[out_port] = (chosen + 1) % n;
-    Frame f = take_input(chosen);  // frees the input slot upstream
+    // The frame stays in its store slot; only its handle moves on.
+    const FrameStore::Handle h = take_input(chosen);  // frees the input slot
+    Frame& f = (*store_)[h];
     ++f.hops;
     ++forwarded_;
     bytes_fwd_ += f.wire_bytes();
-    out->send(std::move(f));
+    out->send_handle(h);
     sample_forwarded();
     // Head-of-line unblocking: the frame now at the head of this input may
     // route to a *different* output that has been idle all along (so its

@@ -22,13 +22,14 @@
 // Arbitration cost scales with occupied inputs, not port count: the
 // cluster keeps one bit per input port that holds a head frame, and an
 // output arbiter visits only set bits, in round-robin order (DESIGN.md
-// §16).
+// §16).  Every link of a cluster shares one FrameStore, so a forward moves
+// the frame's handle from the input link to the output link; only
+// multicast replication copies a frame.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,7 +47,8 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Attaches the incoming link whose downstream buffer is this port's
-  /// input fifo.  The cluster subscribes to its delivery callback.
+  /// input fifo.  The cluster subscribes to its delivery callback.  Every
+  /// link attached to a cluster must share one FrameStore.
   void attach_in(int port, Link* in);
 
   /// Attaches the outgoing link transmitted by this port.  The cluster
@@ -147,10 +149,12 @@ class Cluster {
   bool forward_head(int in_port);
   void on_input(int in_port);
   void try_output(int out_port);
-  /// Link::take() on `in_port`, clearing its busy bit first when the last
-  /// frame leaves (the take's upstream cascade may re-enter this switch).
-  std::optional<Frame> pop_input(int in_port);
-  Frame take_input(int in_port);   // pop + head-of-line accounting
+  /// Link::take_handle() on `in_port`, clearing its busy bit first when
+  /// the last frame leaves (the take's upstream cascade may re-enter this
+  /// switch).
+  FrameStore::Handle pop_input(int in_port);
+  /// pop + head-of-line accounting.  The caller owns the returned slot.
+  FrameStore::Handle take_input(int in_port);
   void drop_head(int in_port);     // take + count as dropped
   /// Drops consecutive unroutable unicast heads of `in_port`.
   void drop_unroutable(int in_port);
@@ -164,11 +168,24 @@ class Cluster {
     busy_[static_cast<std::size_t>(in_port) >> 6] &=
         ~(std::uint64_t{1} << (in_port & 63));
   }
+  [[nodiscard]] bool any_busy() const {
+    for (const std::uint64_t w : busy_) {
+      if (w != 0) return true;
+    }
+    return false;
+  }
+  /// Records the store every attached link must share.
+  void use_store(FrameStore& s) {
+    assert((store_ == nullptr || store_ == &s) &&
+           "a cluster's links must share one FrameStore");
+    store_ = &s;
+  }
   /// The lowest busy input port in [lo, hi), or -1.
   [[nodiscard]] int first_busy(int lo, int hi) const;
 
   sim::Simulator& sim_;
   std::string name_;
+  FrameStore* store_ = nullptr;    // shared by every attached link
   std::vector<Link*> ins_;
   std::vector<Link*> outs_;
   std::vector<int> rr_next_;       // per-output round-robin cursor

@@ -10,6 +10,11 @@
 
 namespace hpcvorx::hw {
 
+Fabric::Fabric(sim::Simulator& sim, Params params)
+    : sim_(sim), params_(params) {
+  shard_frames_.push_back(std::make_unique<ShardFrames>());
+}
+
 Fabric::~Fabric() = default;
 
 void Endpoint::transmit(Frame f) {
@@ -23,8 +28,11 @@ void Endpoint::transmit(Frame f) {
   out_->send(std::move(f));
 }
 
-Link* Fabric::new_link(sim::Simulator& sim, std::string name, Link::Params p) {
-  links_.push_back(std::make_unique<Link>(sim, std::move(name), p));
+Link* Fabric::new_link(int c, std::string name, Link::Params p) {
+  FrameStore& store =
+      shard_frames_[static_cast<std::size_t>(shard_of_cluster(c))]->store;
+  links_.push_back(
+      std::make_unique<Link>(cluster_sim(c), store, std::move(name), p));
   return links_.back().get();
 }
 
@@ -35,8 +43,13 @@ sim::Simulator& Fabric::cluster_sim(int c) {
 }
 
 FramePool& Fabric::pool_for_shard(int shard) {
-  return shard == 0 ? pool_
-                    : *shard_pools_.at(static_cast<std::size_t>(shard) - 1);
+  return shard_frames_.at(static_cast<std::size_t>(shard))->pool;
+}
+
+std::size_t Fabric::frames_live() const {
+  std::size_t live = 0;
+  for (const auto& sf : shard_frames_) live += sf->store.live();
+  return live;
 }
 
 void Fabric::add_station(int cluster_index, int local_port) {
@@ -52,7 +65,7 @@ void Fabric::add_station(int cluster_index, int local_port) {
   Cluster& cl = *clusters_[cluster_index];
   Link::Params up_p = params_.link;
   // Station -> cluster: the downstream buffer is the cluster's input fifo.
-  Link* up = new_link(csim,
+  Link* up = new_link(cluster_index,
                       "s" + std::to_string(id) + ">c" +
                           std::to_string(cluster_index),
                       up_p);
@@ -62,7 +75,7 @@ void Fabric::add_station(int cluster_index, int local_port) {
   // section.
   Link::Params down_p = params_.link;
   down_p.buffer_frames = params_.rx_buffer_frames;
-  Link* down = new_link(csim,
+  Link* down = new_link(cluster_index,
                         "c" + std::to_string(cluster_index) + ">s" +
                             std::to_string(id),
                         down_p);
@@ -94,14 +107,14 @@ void Fabric::add_trunk_link(int from, int to, int port_out, int port_in,
   }
   CubePair* entry = &cube_pairs_[static_cast<std::size_t>(it->second)];
   if (shard_of_cluster(from) == shard_of_cluster(to)) {
-    Link* l = new_link(cluster_sim(from), name, p);
+    Link* l = new_link(from, name, p);
     clusters_[static_cast<std::size_t>(from)]->attach_out(port_out, l);
     clusters_[static_cast<std::size_t>(to)]->attach_in(port_in, l);
     (from < to ? entry->ab : entry->ba) = l;
     return;
   }
-  Link* tx = new_link(cluster_sim(from), name + ".tx", p);
-  Link* rx = new_link(cluster_sim(to), name + ".rx", p);
+  Link* tx = new_link(from, name + ".tx", p);
+  Link* rx = new_link(to, name + ".rx", p);
   clusters_[static_cast<std::size_t>(from)]->attach_out(port_out, tx);
   clusters_[static_cast<std::size_t>(to)]->attach_in(port_in, rx);
   if (from < to) {
@@ -404,7 +417,7 @@ std::uint64_t Fabric::frames_dropped() const {
 void Fabric::attach_runtime(sim::ShardRuntime& rt) {
   runtime_ = &rt;
   for (int i = 1; i < rt.num_shards(); ++i) {
-    shard_pools_.push_back(std::make_unique<FramePool>());
+    shard_frames_.push_back(std::make_unique<ShardFrames>());
   }
 }
 

@@ -36,6 +36,7 @@
 
 #include "hw/cluster.hpp"
 #include "hw/frame_pool.hpp"
+#include "hw/frame_store.hpp"
 #include "hw/hypercube.hpp"
 #include "hw/link.hpp"
 #include "hw/shard_link.hpp"
@@ -55,7 +56,9 @@ class Endpoint {
   /// first-hop buffer has space — hardware flow control, §2).
   [[nodiscard]] bool tx_ready() const { return out_->ready(); }
 
-  /// Injects a frame.  Precondition: tx_ready().  Stamps src/injected_at.
+  /// Injects a frame: stamps src/injected_at and puts it into the shard's
+  /// FrameStore, where it stays until it leaves the fabric.
+  /// Precondition: tx_ready().
   void transmit(Frame f);
 
   /// Fired whenever transmission may have become possible: the paper's
@@ -66,7 +69,8 @@ class Endpoint {
 
   [[nodiscard]] const Frame* rx_peek() const { return in_->peek(); }
 
-  /// Removes the head received frame, freeing the hardware buffer slot.
+  /// Removes the head received frame, freeing the hardware buffer slot,
+  /// and moves it out of the fabric's store.
   std::optional<Frame> rx_take() { return in_->take(); }
 
   /// Fired on each frame arrival: the receive interrupt.
@@ -201,7 +205,17 @@ class Fabric {
 
   /// The pool Frame payload buffers are recycled through (also reachable
   /// per station via Endpoint::frame_pool()).
-  [[nodiscard]] FramePool& frame_pool() { return pool_; }
+  [[nodiscard]] FramePool& frame_pool() { return shard_frames_[0]->pool; }
+
+  /// Frames inside the interconnect, summed over every shard's store:
+  /// parked in a link's downstream buffer (endpoint receive sections
+  /// included) or propagating on a link.  A frame crossing between shards
+  /// sits in a bridge, in no store.  With no frame in a bridge, every
+  /// frame an endpoint transmitted is received, dropped or live:
+  /// `sent == delivered + frames_dropped() + frames_live()` for unicast
+  /// traffic, and a drained fabric holds 0.  Read after run(), like
+  /// frames_dropped().
+  [[nodiscard]] std::size_t frames_live() const;
 
   // ---- fault injection (DESIGN.md §14) ----
   //
@@ -252,8 +266,9 @@ class Fabric {
                            const std::vector<StationId>& members);
 
  private:
-  Fabric(sim::Simulator& sim, Params params) : sim_(sim), params_(params) {}
-  Link* new_link(sim::Simulator& sim, std::string name, Link::Params p);
+  Fabric(sim::Simulator& sim, Params params);
+  /// A link on cluster `c`'s shard: its simulator and its frame store.
+  Link* new_link(int c, std::string name, Link::Params p);
   void add_station(int cluster_index, int local_port);
   /// One direction of an inter-cluster cable: out of `from` port
   /// `port_out`, into `to` port `port_in` (full-duplex pairs share the
@@ -308,6 +323,14 @@ class Fabric {
   Params params_;
   TopologyKind topo_ = TopologyKind::kSingleCluster;
   FatTreeShape fat_;  // valid only when topo_ == kFatTree
+  // Per-shard frame storage, one entry per shard (one when unsharded): the
+  // payload pool and the store every link of the shard queues its frames
+  // in.  Declared before links_, which hold references to the stores.
+  struct ShardFrames {
+    FramePool pool;
+    FrameStore store;
+  };
+  std::vector<std::unique_ptr<ShardFrames>> shard_frames_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Cluster>> clusters_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
@@ -340,8 +363,6 @@ class Fabric {
   //     live.  Each shard's thread reads and writes only its own rows.
   std::vector<std::vector<char>> shard_edge_up_;
   std::vector<std::vector<std::int16_t>> fault_next_port_;
-  FramePool pool_;  // shard 0's payload pool
-  std::vector<std::unique_ptr<FramePool>> shard_pools_;  // shards 1..N-1
 };
 
 }  // namespace hpcvorx::hw

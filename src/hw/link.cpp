@@ -4,11 +4,11 @@
 
 namespace hpcvorx::hw {
 
-void Link::send(Frame f) {
+void Link::send_handle(FrameStore::Handle h) {
   assert(ready() && "Link::send called while not ready");
   tx_busy_ = true;
-  const sim::Duration ser =
-      static_cast<sim::Duration>(f.wire_bytes()) * p_.ns_per_byte;
+  const std::uint32_t wire = store_[h].wire_bytes();
+  const sim::Duration ser = static_cast<sim::Duration>(wire) * p_.ns_per_byte;
   // Transmitter frees after serialization; the frame lands one propagation
   // latency later.  Both completion events carry the fault epoch: a
   // set_down() between send and completion bumps it and the stale event
@@ -27,33 +27,26 @@ void Link::send(Frame f) {
     // totals match its intra-shard equivalent.
     ++remote_unacked_;
     ++frames_carried_;
-    bytes_carried_ += f.wire_bytes();
-    remote_sink_(sim_.now() + ser + p_.latency, std::move(f));
+    bytes_carried_ += wire;
+    remote_sink_(sim_.now() + ser + p_.latency, store_.take(h));
     return;
   }
-  push_back(std::move(f));
-  sim_.schedule_after(ser + p_.latency, [this, e = fault_epoch_] {
+  enqueue(h);
+  sim_.schedule_after(ser + p_.latency, [this, e = fault_epoch_, wire] {
     if (e != fault_epoch_) return;
-    deliver_head();
+    deliver_head(wire);
   });
 }
 
-void Link::push_back(Frame&& f) {
-  if (count_ == slots_.size()) {
-    // Full: double (first use: 2 slots), capped at buffer_frames — ready()
-    // never lets the ring hold more.  The frames move to the front of the
-    // new storage in FIFO order.
-    const std::size_t cap = std::min<std::size_t>(
-        std::max<std::size_t>(2 * slots_.size(), 2), buffer_frames_);
-    assert(cap > count_ && "ring push beyond buffer_frames");
-    std::vector<Frame> grown(cap);
-    for (std::uint32_t i = 0; i < count_; ++i) {
-      grown[i] = std::move(slots_[slot(i)]);
-    }
-    slots_.swap(grown);
-    head_ = 0;
+void Link::enqueue(FrameStore::Handle h) {
+  assert(count_ < buffer_frames_ && "queue push beyond buffer_frames");
+  store_.set_next(h, FrameStore::kNone);
+  if (count_ == 0) {
+    head_ = h;
+  } else {
+    store_.set_next(tail_, h);
   }
-  slots_[slot(count_)] = std::move(f);
+  tail_ = h;
   ++count_;
 }
 
@@ -68,11 +61,14 @@ void Link::set_down() {
   if (credit_cb_) {
     for (std::uint32_t i = 0; i < buffered_; ++i) credit_cb_(sim_.now());
   }
-  // The lost frames' payloads are released now, not when a slot is next
-  // overwritten.
-  for (std::uint32_t i = 0; i < count_; ++i) slots_[slot(i)].data.reset();
-  head_ = 0;
-  count_ = 0;
+  // The lost frames leave the store now, payloads released.
+  for (FrameStore::Handle h = head_; count_ > 0; --count_) {
+    const FrameStore::Handle next = store_.next(h);
+    store_.release(h);
+    h = next;
+  }
+  head_ = FrameStore::kNone;
+  tail_ = FrameStore::kNone;
   buffered_ = 0;
   // TX half: the peer RX clears its buffer (and drops late arrivals) at
   // the same virtual time, so every reserved slot is gone; the credits it
@@ -110,33 +106,30 @@ void Link::deliver_remote(Frame f) {
     if (credit_cb_) credit_cb_(sim_.now());
     return;
   }
-  // An RX half's ring holds landed frames only, so the arrival joins the
+  // An RX half's queue holds landed frames only, so the arrival joins the
   // back of the buffer.
-  push_back(std::move(f));
+  enqueue(store_.put(std::move(f)));
   ++buffered_;
   peak_buffered_ = std::max<std::size_t>(peak_buffered_, buffered_);
   sample_depth();
   if (deliver_cb_) deliver_cb_();
 }
 
-void Link::deliver_head() {
+void Link::deliver_head(std::uint32_t wire_bytes) {
   // The oldest propagating frame sits right behind the landed ones.
   assert(buffered_ < count_ && "delivery with nothing propagating");
-  const Frame& f = slots_[slot(buffered_)];
   ++buffered_;
   ++frames_carried_;
-  bytes_carried_ += f.wire_bytes();
+  bytes_carried_ += wire_bytes;
   peak_buffered_ = std::max<std::size_t>(peak_buffered_, buffered_);
   sample_depth();
   if (deliver_cb_) deliver_cb_();
 }
 
-std::optional<Frame> Link::take() {
-  if (buffered_ == 0) return std::nullopt;
-  // Moving out leaves the slot's payload pointer null: the ring keeps no
-  // reference to a frame it no longer holds.
-  std::optional<Frame> f(std::move(slots_[head_]));
-  head_ = static_cast<std::uint32_t>(slot(1));
+FrameStore::Handle Link::take_handle() {
+  if (buffered_ == 0) return FrameStore::kNone;
+  const FrameStore::Handle h = head_;
+  head_ = store_.next(h);
   --buffered_;
   --count_;
   sample_depth();
@@ -147,7 +140,13 @@ std::optional<Frame> Link::take() {
   } else {
     notify_ready();
   }
-  return f;
+  return h;
+}
+
+std::optional<Frame> Link::take() {
+  const FrameStore::Handle h = take_handle();
+  if (h == FrameStore::kNone) return std::nullopt;
+  return store_.take(h);
 }
 
 void Link::sample_depth() {

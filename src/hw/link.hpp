@@ -12,11 +12,13 @@
 // ready_cb whenever the link may have become ready (this is the source of
 // the "room became available" transmit interrupt on node output links).
 //
-// Storage: one FIFO ring of Frame slots holds both the frames parked in the
-// downstream buffer and the frames still propagating behind them (landed
-// at [head, head + buffered), propagating after them).  ready() bounds the
-// total by buffer_frames, so the ring never needs more slots than that; it
-// grows on demand, so a link that never carries a frame owns no heap.
+// Storage: a link holds no frames of its own.  Its frames live in the
+// shard's FrameStore (frame_store.hpp), and the link keeps a FIFO of their
+// handles, linked through the store: the frames parked in the downstream
+// buffer first, the frames still propagating behind them.  ready() bounds
+// the queue by buffer_frames.  A link therefore owns no heap, and
+// forwarding a frame from one link to the next moves a handle, not the
+// frame.
 #pragma once
 
 #include <cassert>
@@ -24,9 +26,9 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "hw/frame.hpp"
+#include "hw/frame_store.hpp"
 #include "sim/simulator.hpp"
 
 namespace hpcvorx::hw {
@@ -39,11 +41,14 @@ class Link {
     int buffer_frames = 2;                 // downstream whole-frame slots
   };
 
-  Link(sim::Simulator& sim, std::string name, Params p)
+  /// `store` holds the link's frames; it is shared by every link on the
+  /// same shard and must outlive the link.
+  Link(sim::Simulator& sim, FrameStore& store, std::string name, Params p)
       : buffer_frames_(static_cast<std::uint32_t>(p.buffer_frames)),
+        store_(store),
         sim_(sim),
-        name_(std::move(name)),
-        p_(p) {
+        p_(p),
+        name_(std::move(name)) {
     assert(p_.buffer_frames >= 1);
   }
   Link(const Link&) = delete;
@@ -58,8 +63,13 @@ class Link {
     return !down_ && !tx_busy_ && occupied() < buffer_frames_;
   }
 
-  /// Starts transmitting `f`.  Precondition: ready().
-  void send(Frame f);
+  /// Starts transmitting `f`: puts it into the store and sends its handle.
+  /// Precondition: ready().
+  void send(Frame f) { send_handle(store_.put(std::move(f))); }
+
+  /// Starts transmitting the frame in store slot `h`, which no other link
+  /// holds; the link owns the slot from now on.  Precondition: ready().
+  void send_handle(FrameStore::Handle h);
 
   /// Invoked whenever the link may have become ready (the consumer must
   /// re-check ready()).  Models the transmit-space-available interrupt.
@@ -67,16 +77,25 @@ class Link {
 
   // ---- downstream (receiving) side ----
 
-  /// Frame at the head of the downstream buffer, or nullptr.  The pointer
-  /// is valid only until the next send() or take() on this link: a send
-  /// may grow the ring and move every slot.
+  /// Frame at the head of the downstream buffer, or nullptr.  Store slots
+  /// never move, so the pointer stays valid until that frame leaves this
+  /// link (take(), take_handle() or set_down()), whatever other links of
+  /// the shard send or take meanwhile.
   [[nodiscard]] const Frame* peek() const {
-    return buffered_ == 0 ? nullptr : &slots_[head_];
+    return buffered_ == 0 ? nullptr : &store_[head_];
   }
 
   /// Removes the head frame, freeing a buffer slot (which may allow the
-  /// upstream transmitter to proceed).
+  /// upstream transmitter to proceed), and moves it out of the store.
   std::optional<Frame> take();
+
+  /// Removes the head frame like take() but leaves it in the store: the
+  /// caller owns the returned slot and must send_handle() or release it.
+  /// kNone when nothing is buffered.
+  FrameStore::Handle take_handle();
+
+  /// The store this link's frames live in.
+  [[nodiscard]] FrameStore& store() const { return store_; }
 
   /// Invoked each time a frame lands in the downstream buffer.
   void set_deliver_cb(std::function<void()> cb) { deliver_cb_ = std::move(cb); }
@@ -108,7 +127,8 @@ class Link {
   // which is what the runtime's lookahead window relies on.
 
   /// Makes this the TX half.  `sink` receives (arrival time, frame) for
-  /// every send; arrival = now + serialization + latency.
+  /// every send, the frame moved out of this shard's store; arrival = now
+  /// + serialization + latency.
   void set_remote_sink(std::function<void(sim::SimTime, Frame)> sink) {
     remote_sink_ = std::move(sink);
     remote_ = static_cast<bool>(remote_sink_);
@@ -117,8 +137,9 @@ class Link {
   /// A peer-shard buffer slot freed (credit signal arrived): TX half only.
   void remote_credit();
 
-  /// A frame from the peer shard's TX half lands in the downstream buffer:
-  /// RX half only (scheduled at its precomputed arrival time).
+  /// A frame from the peer shard's TX half lands in the downstream buffer,
+  /// put into this shard's store: RX half only (scheduled at its
+  /// precomputed arrival time).
   void deliver_remote(Frame f);
 
   /// Makes this the RX half: take() reports each freed slot through `cb`
@@ -156,62 +177,59 @@ class Link {
   [[nodiscard]] std::uint64_t bytes_carried() const { return bytes_carried_; }
   /// High-water mark of the downstream buffer occupancy.
   [[nodiscard]] std::size_t peak_buffered() const { return peak_buffered_; }
-  /// Frame slots the ring has allocated so far (grows on demand, never
-  /// past buffer_frames).  For tests, which check the on-demand growth.
-  [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
 
  private:
   void notify_ready() {
     if (ready_cb_ && ready()) ready_cb_();
   }
-  /// Downstream slots reserved: ring frames on an intra-shard link or an
-  /// RX half, sent-but-uncredited frames on a TX half (whose ring stays
+  /// Downstream slots reserved: queued frames on an intra-shard link or an
+  /// RX half, sent-but-uncredited frames on a TX half (whose queue stays
   /// empty, while every other link's remote_unacked_ stays 0).
   [[nodiscard]] std::uint32_t occupied() const {
     return count_ + remote_unacked_;
   }
-  /// Ring index of the `i`-th frame from the head.
-  [[nodiscard]] std::size_t slot(std::uint32_t i) const {
-    const std::size_t s = static_cast<std::size_t>(head_) + i;
-    return s < slots_.size() ? s : s - slots_.size();
-  }
-  /// Appends `f` behind every frame in the ring, growing it when full.
-  void push_back(Frame&& f);
-  void deliver_head();
+  /// Queues `h` behind every frame the link holds.
+  void enqueue(FrameStore::Handle h);
+  /// The oldest propagating frame, `wire_bytes` long, lands.
+  void deliver_head(std::uint32_t wire_bytes);
   void sample_depth();
 
   // ready() and queue_depth() read only these five fields; they lead the
   // object so scoring an adaptive candidate touches one cache line.
-  std::uint32_t count_ = 0;           // ring frames: landed + propagating
+  std::uint32_t count_ = 0;           // queued frames: landed + propagating
   std::uint32_t remote_unacked_ = 0;  // TX half: sent, credit not yet back
   std::uint32_t buffer_frames_;       // p_.buffer_frames
   bool tx_busy_ = false;
   bool down_ = false;
   bool remote_ = false;               // TX half: remote_sink_ is set
-  std::uint32_t head_ = 0;            // ring index of the oldest frame
-  std::uint32_t buffered_ = 0;        // landed frames at the ring's front
+  // The queue: `count_` handles from head_ to tail_, linked through the
+  // store.  The first `buffered_` have landed.  Propagating frames land in
+  // send order: the transmitter serializes sends, so a later frame's
+  // arrival (start + ser_a + ser_b + latency) is strictly after an earlier
+  // one's (start + ser_a + latency).  Landing one is therefore a counter
+  // move, and the delivery event captures the frame's wire bytes, so it
+  // reads no frame.
+  FrameStore::Handle head_ = FrameStore::kNone;
+  FrameStore::Handle tail_ = FrameStore::kNone;
+  std::uint32_t buffered_ = 0;
   // Bumped by every set_down()/set_up(); in-flight serialization and
   // delivery events captured the epoch at send time and no-op on mismatch.
   std::uint32_t fault_epoch_ = 0;
-  // The ring.  Propagating frames land in send order: the transmitter
-  // serializes sends, so a later frame's arrival (start + ser_a + ser_b +
-  // latency) is strictly after an earlier one's (start + ser_a + latency).
-  // Keeping the frames here lets the delivery event capture only `this` —
-  // a whole Frame in the capture would spill the event queue's inline
-  // storage — and landing one is a counter move.
-  std::vector<Frame> slots_;
+  FrameStore& store_;
   sim::Simulator& sim_;
-  std::string name_;
+  // What send, landing and take touch follows, so a hop reads a few
+  // adjacent cache lines of the link; cold state goes last.
   Params p_;
-  std::function<void()> ready_cb_;
-  std::function<void()> deliver_cb_;
-  // Cross-shard halves (both empty on an ordinary intra-shard link).
-  std::function<void(sim::SimTime, Frame)> remote_sink_;  // TX half
-  std::function<void(sim::SimTime)> credit_cb_;           // RX half
-  std::uint64_t frames_dropped_ = 0;
   std::uint64_t frames_carried_ = 0;
   std::uint64_t bytes_carried_ = 0;
   std::size_t peak_buffered_ = 0;
+  std::function<void()> ready_cb_;
+  std::function<void()> deliver_cb_;
+  // Cross-shard halves (both empty on an ordinary intra-shard link).
+  std::function<void(sim::SimTime)> credit_cb_;           // RX half
+  std::function<void(sim::SimTime, Frame)> remote_sink_;  // TX half
+  std::string name_;
+  std::uint64_t frames_dropped_ = 0;
 };
 
 }  // namespace hpcvorx::hw

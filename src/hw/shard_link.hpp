@@ -7,7 +7,9 @@
 //
 //   frames:  TX half's remote sink -> queue -> drained into the RX shard,
 //            where each frame becomes a deliver_remote() event at its
-//            precomputed arrival time;
+//            precomputed arrival time.  The frame leaves the TX shard's
+//            FrameStore at send and enters the RX shard's at delivery, so
+//            no store is touched by two threads;
 //   credits: RX half's take() -> queue -> drained into the TX shard, where
 //            each freed buffer slot becomes a remote_credit() event one
 //            link latency after the take — the reverse wire signal.

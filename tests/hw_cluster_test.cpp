@@ -18,10 +18,10 @@ struct Rig {
   explicit Rig(sim::Simulator& sim, int ports = 4) : cluster(sim, "c0", ports) {
     for (int p = 0; p < ports; ++p) {
       ins.push_back(std::make_unique<Link>(
-          sim, "in" + std::to_string(p),
+          sim, store, "in" + std::to_string(p),
           Link::Params{.ns_per_byte = 10, .latency = 100, .buffer_frames = 2}));
       outs.push_back(std::make_unique<Link>(
-          sim, "out" + std::to_string(p),
+          sim, store, "out" + std::to_string(p),
           Link::Params{.ns_per_byte = 10, .latency = 100, .buffer_frames = 2}));
       cluster.attach_in(p, ins.back().get());
       cluster.attach_out(p, outs.back().get());
@@ -29,6 +29,7 @@ struct Rig {
     // Station `dst` is reached through output port dst.
     cluster.set_route_fn([](const Frame& f) { return f.dst; });
   }
+  FrameStore store;  // shared by every link of the rig; outlives them
   Cluster cluster;
   std::vector<std::unique_ptr<Link>> ins;
   std::vector<std::unique_ptr<Link>> outs;
@@ -435,6 +436,20 @@ TEST(ClusterArbiter, AdaptiveCubeSurvivesFlapsAndRestarts) {
     }
   }
   sim.run();
+  // Conservation while wedged: every unicast frame an endpoint
+  // transmitted is delivered, dropped at a fault, or still held in the
+  // fabric's store (the rest wait in the stations' send queues).
+  auto transmitted = [&] {
+    std::uint64_t n = 0;
+    for (StationId s = 0; s < kStations; ++s) {
+      n += fab->endpoint(s).frames_sent();
+    }
+    return n;
+  };
+  EXPECT_GT(fab->frames_live(), 0u);
+  EXPECT_LT(transmitted(), sent);
+  EXPECT_EQ(transmitted(),
+            delivered + fab->frames_dropped() + fab->frames_live());
   // Fault-time routes follow BFS tables that are outside the adaptive
   // deadlock-freedom argument (DESIGN.md §15.3), and with this schedule a
   // buffer-wait cycle forms while cables are down; it outlives the repair.
@@ -445,7 +460,9 @@ TEST(ClusterArbiter, AdaptiveCubeSurvivesFlapsAndRestarts) {
     fab->apply_cluster_restart(0, c);
   }
   sim.run();
-  EXPECT_EQ(sent, delivered + fab->frames_dropped());
+  EXPECT_EQ(fab->frames_live(), 0u);
+  EXPECT_EQ(transmitted(), sent);
+  EXPECT_EQ(sent, delivered + fab->frames_dropped() + fab->frames_live());
   EXPECT_GT(fab->frames_dropped(), 0u);
 
   // Phase 2: every cable is back; unicast and group traffic on the
@@ -478,6 +495,8 @@ TEST(ClusterArbiter, AdaptiveCubeSurvivesFlapsAndRestarts) {
   EXPECT_EQ(mcast_delivered, 4u * (members.size() - 1));
   EXPECT_EQ(forwarded() - fwd0,
             (unicast_hops - hops0) + (replicas() - rep0));
+  // Drained: the store holds no frame, replicas included.
+  EXPECT_EQ(fab->frames_live(), 0u);
 }
 
 }  // namespace

@@ -414,6 +414,8 @@ RoutingRun run_routing(int shards, hw::RoutingMode mode, std::uint64_t seed) {
               run.got[static_cast<std::size_t>(s)].end());
   }
   EXPECT_EQ(fab->frames_dropped(), 0u);
+  // Drained: no frame is left in any shard's store.
+  EXPECT_EQ(fab->frames_live(), 0u);
   return run;
 }
 

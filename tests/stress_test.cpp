@@ -93,6 +93,12 @@ TEST_P(FabricTrafficSweep, ExactlyOnceInOrderDelivery) {
     }
   }
   EXPECT_EQ(delivered, total);
+  // Conservation: sent == delivered + dropped + live, and a drained
+  // fabric's store is empty.
+  EXPECT_EQ(fab->frames_live(), 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(total),
+            static_cast<std::uint64_t>(delivered) + fab->frames_dropped() +
+                fab->frames_live());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -106,8 +106,9 @@ TEST(Counters, CpuCountsContextSwitchesBetweenSubprocesses) {
 TEST(Counters, LinkCountsWireBytesAndSamplesTimeline) {
   sim::Simulator sim;
   sim.counters().enable(true);
-  hw::Link link(sim, "l", {.ns_per_byte = 50, .latency = 500,
-                           .buffer_frames = 2});
+  hw::FrameStore store;
+  hw::Link link(sim, store, "l",
+                {.ns_per_byte = 50, .latency = 500, .buffer_frames = 2});
   hw::Frame first;
   first.dst = 1;
   first.payload_bytes = 84;
